@@ -17,12 +17,15 @@ Two runs per configuration, compared on *simulated* inspector cost:
 The headline number is ``speedup``: simulated cost of one full
 re-inspection at an adaptation divided by the cost of one incremental
 patch of the same adaptation.  Writes
-``benchmarks/out/BENCH_adapt.json``.
+``benchmarks/out/BENCH_adapt.json`` at the default full scale (P=64/256,
+50k nodes); any other scale (``--tiny``, or explicit ``--procs`` /
+``--fractions`` / ``--nodes``) writes ``BENCH_adapt_smoke.json``
+instead, so a smoke never overwrites the full-scale artifact.
 
 Run standalone (``python benchmarks/bench_table_adapt.py [--procs P ...]
 [--fractions F ...] [--nodes N]``) or under pytest
 (``pytest -s benchmarks/bench_table_adapt.py``).  CI runs a tiny-scale
-smoke (``--tiny``) and uploads the JSON.
+smoke (``--tiny``) and uploads its JSON.
 """
 
 import argparse
@@ -33,6 +36,7 @@ import time
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 MESH_CACHE_DIR = os.path.join(OUT_DIR, "mesh_cache")
 JSON_PATH = os.path.join(OUT_DIR, "BENCH_adapt.json")
+SMOKE_JSON_PATH = os.path.join(OUT_DIR, "BENCH_adapt_smoke.json")
 
 N_NODES = 50000
 PROC_COUNTS = [64, 256]
@@ -167,7 +171,7 @@ def run_adapt_bench(
     }
 
 
-def write_report(record, path=JSON_PATH):
+def write_report(record, path):
     os.makedirs(OUT_DIR, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2)
@@ -231,7 +235,7 @@ def test_adapt_bench():
         proc_counts=TINY_PROCS if tiny else PROC_COUNTS,
         n_nodes=TINY_NODES if tiny else N_NODES,
     )
-    path = write_report(record)
+    path = write_report(record, SMOKE_JSON_PATH if tiny else JSON_PATH)
     print(f"\n[adapt bench written to {path}]")
     _check_speedups(record)
     _check_walls(record)
@@ -259,7 +263,8 @@ if __name__ == "__main__":
         fractions=args.fractions or FRACTIONS,
         n_nodes=args.nodes or (TINY_NODES if args.tiny else N_NODES),
     )
-    path = write_report(record)
+    full_scale = not args.tiny and not (args.procs or args.fractions or args.nodes)
+    path = write_report(record, JSON_PATH if full_scale else SMOKE_JSON_PATH)
     print(json.dumps(record, indent=2))
     print(f"[written to {path}]")
     _check_speedups(record)

@@ -43,6 +43,13 @@ unchanged, which conditions 1-2 guarantee), and the live reference count
 :class:`~repro.chaos.localize.LocalizeResult` stores the full slot-space
 ``ghost_flat`` with holes marked ``-1``.
 
+This state (with the indirection snapshots and the home map) is built
+once per (indirection content, data distribution) key -- see
+:func:`~repro.adapt.state.adapt_state_key` -- and charged on every full
+inspection: a full re-inspection of an unchanged loop keeps it, and a
+patch, which mutates it, drops the key so the next full inspection
+rebuilds.
+
 Wall-time contract (host clock, not simulated time)
 ---------------------------------------------------
 Patching must be cheaper than full re-inspection *for the machine

@@ -49,7 +49,7 @@ from repro.adapt.patch import (
     PatchResult,
     patch_product,
 )
-from repro.adapt.state import build_adapt_state, charge_state_build
+from repro.adapt.state import adapt_state_key, build_adapt_state, charge_state_build
 from repro.chaos.ttable import build_translation_table
 from repro.core.dad import DAD
 from repro.core.forall import ForallLoop
@@ -120,11 +120,26 @@ class IncrementalInspector:
 
     # ------------------------------------------------------------------
     def after_inspect(self, loop: ForallLoop, record: InspectorRecord) -> None:
-        """Capture fresh adapt state after a full inspection (charged)."""
+        """Capture adapt state after a full inspection (charged every time).
+
+        The state is rebuilt only when none is saved or its
+        :func:`~repro.adapt.state.adapt_state_key` differs: equal keys
+        mean a rebuild would reproduce the saved state exactly.
+        """
         arrays = self.program.arrays
         machine = self.program.machine
-        with machine.obs.span("adapt.state.build_adapt_state", loop=loop.name):
-            self.states[loop.name] = build_adapt_state(record.product, arrays)
+        obs = machine.obs
+        with obs.span("adapt.state.build_adapt_state", loop=loop.name) as span:
+            key = adapt_state_key(record.product, arrays)
+            state = self.states.get(loop.name)
+            rebuilt = state is None or state.key != key
+            if rebuilt:
+                state = build_adapt_state(record.product, arrays)
+                state.key = key
+                self.states[loop.name] = state
+            else:
+                obs.counter("adapt.state.reused")
+            span.set(rebuilt=rebuilt)
             charge_state_build(machine, record.product, arrays)
 
     # ------------------------------------------------------------------
@@ -205,6 +220,9 @@ class IncrementalInspector:
                     n_changed=n_changed, n_tracked=n_tracked,
                 )
             self.last_error = None
+            # the patch mutates the state in place: from here on it no
+            # longer matches the key it was built under
+            state.key = None
             try:
                 with obs.span(
                     "adapt.patch", loop=loop.name, n_changed=n_changed

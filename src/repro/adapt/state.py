@@ -15,6 +15,14 @@ Building this state is plain bookkeeping over arrays the inspector
 already produced; the machine is charged a small per-element recording
 cost (the runtime really would tally counts and copy the indirection
 values), which is the price of enabling incremental inspection.
+
+The state is a pure function of the inputs :func:`adapt_state_key`
+names -- the loop, the ``content_key`` of every indirection array, the
+``dist_key`` of every data array, and the product's pattern grouping --
+so it is built once per such key (the paper's reuse idea applied to the
+simulator's own bookkeeping): a full re-inspection of an unchanged loop
+keeps the saved state, while the recording cost is still charged on
+every full inspection, so simulated numbers do not depend on the reuse.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.cachekey import content_key, dist_key
 from repro.core.inspector import InspectorProduct
 from repro.distribution.distarray import DistArray
 
@@ -88,6 +97,10 @@ class LoopAdaptState:
     home: np.ndarray  # dense iteration -> processor map
     snapshots: dict[str, np.ndarray]  # indirection name -> global values
     groups: dict[tuple[str, tuple], GroupState] = field(default_factory=dict)
+    #: :func:`adapt_state_key` of the inputs this state was built from;
+    #: ``None`` (restored from a checkpoint, or handed to a patch) means
+    #: unknown, so the next full inspection rebuilds
+    key: tuple | None = None
 
 
 def product_groups(
@@ -140,7 +153,7 @@ def build_group_state(
         ghost = refs >= local_sizes[pid]
         if ghost.any():
             gslot = slot_bounds[pid[ghost]] + (refs[ghost] - local_sizes[pid[ghost]])
-            np.add.at(counts, gslot, 1)
+            counts += np.bincount(gslot, minlength=keys.size)
     state = GroupState(
         array=array_name,
         indexes=tuple(k[1] for k in member_keys),
@@ -154,6 +167,29 @@ def build_group_state(
     # already paying O(S log S): patches then only merge deltas into it
     state.slot_index(max(dist.size, 1))
     return state
+
+
+def adapt_state_key(
+    product: InspectorProduct,
+    arrays: dict[str, DistArray],
+) -> tuple:
+    """Version key of everything :func:`build_adapt_state` reads.
+
+    The snapshots read the indirection arrays' values (``content_key``);
+    the iteration partition, ghost sets and owner/offset maps are fixed
+    by those values, the data arrays' layouts (``dist_key``) and the
+    loop with its partitioning method; the group states follow the
+    product's pattern grouping.  Equal keys therefore mean a fresh build
+    would equal the saved state element for element.
+    """
+    loop = product.loop
+    return (
+        loop,
+        product.iteration_partition.method,
+        tuple(content_key(arrays[name]) for name in loop.indirection_arrays()),
+        tuple(dist_key(arrays[name].distribution) for name in loop.data_arrays()),
+        tuple(group_state_key(m) for m in product_groups(product)),
+    )
 
 
 def build_adapt_state(
@@ -181,7 +217,10 @@ def charge_state_build(machine, product: InspectorProduct, arrays) -> None:
 
     Each processor copies its local segment of every indirection array
     (the snapshot), records its ghost slot map, and tallies its
-    reference counts -- all local integer/memory work.
+    reference counts -- all local integer/memory work.  Charged on every
+    full inspection, whether or not the state was rebuilt.  Reads only
+    per-processor sizes, so the coalesced path's split reference views
+    are never flattened here.
     """
     n = machine.n_procs
     mem = np.zeros(n)
@@ -190,12 +229,8 @@ def charge_state_build(machine, product: InspectorProduct, arrays) -> None:
     iops = np.zeros(n)
     for member_keys in product_groups(product):
         first = product.patterns[member_keys[0]].localized
-        iops += STATE_IOPS_PER_GHOST * np.diff(
-            np.asarray(first.ghost_bounds, dtype=np.float64)
-        )
+        iops += STATE_IOPS_PER_GHOST * first.ghost_counts().astype(np.float64)
         for key in member_keys:
             loc = product.patterns[key].localized
-            iops += STATE_IOPS_PER_REF * np.diff(
-                np.asarray(loc.ref_bounds, dtype=np.float64)
-            )
+            iops += STATE_IOPS_PER_REF * loc.ref_counts().astype(np.float64)
     machine.charge_compute_all(iops=iops, mem=mem)
