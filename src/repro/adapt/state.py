@@ -218,9 +218,9 @@ def charge_state_build(machine, product: InspectorProduct, arrays) -> None:
     Each processor copies its local segment of every indirection array
     (the snapshot), records its ghost slot map, and tallies its
     reference counts -- all local integer/memory work.  Charged on every
-    full inspection, whether or not the state was rebuilt.  Reads only
-    per-processor sizes, so the coalesced path's split reference views
-    are never flattened here.
+    full inspection, whether or not the state was rebuilt.  Reads the
+    per-processor list lengths, so the coalesced path's split reference
+    views are never flattened here.
     """
     n = machine.n_procs
     mem = np.zeros(n)
@@ -229,8 +229,12 @@ def charge_state_build(machine, product: InspectorProduct, arrays) -> None:
     iops = np.zeros(n)
     for member_keys in product_groups(product):
         first = product.patterns[member_keys[0]].localized
-        iops += STATE_IOPS_PER_GHOST * first.ghost_counts().astype(np.float64)
+        iops += STATE_IOPS_PER_GHOST * np.fromiter(
+            (g.size for g in first.ghost_globals), np.float64, n
+        )
         for key in member_keys:
             loc = product.patterns[key].localized
-            iops += STATE_IOPS_PER_REF * loc.ref_counts().astype(np.float64)
+            iops += STATE_IOPS_PER_REF * np.fromiter(
+                (r.size for r in loc.local_refs), np.float64, n
+            )
     machine.charge_compute_all(iops=iops, mem=mem)

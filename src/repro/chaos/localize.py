@@ -168,19 +168,6 @@ class LocalizeResult:
             ]
         return self._ghost_globals
 
-    # -- per-processor sizes (from whichever form exists) --------------------
-    def ref_counts(self) -> np.ndarray:
-        """References per processor, without building the other form."""
-        if self._ref_bounds is not None:
-            return np.diff(self._ref_bounds)
-        return np.array([r.size for r in self._local_refs], dtype=np.int64)
-
-    def ghost_counts(self) -> np.ndarray:
-        """Ghost slots per processor, without building the other form."""
-        if self._ghost_bounds is not None:
-            return np.diff(self._ghost_bounds)
-        return np.array([g.size for g in self._ghost_globals], dtype=np.int64)
-
     def split(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """Boolean masks (is_local, is_ghost) for processor ``p``'s refs."""
         refs = self.local_refs[p]

@@ -32,9 +32,6 @@ from repro.machine.stats import (
 )
 from repro.machine.topology import Topology, make_topology
 
-#: argument types ``charge_compute_all`` charges without broadcasting
-_SCALARS = frozenset((int, float, np.int64, np.float64))
-
 
 class Processor:
     """One virtual processor: a rank and a live view of its counters."""
@@ -132,25 +129,8 @@ class Machine:
 
         Accepts ndarrays, sequences, or scalars directly; both the time
         conversion and the counter updates are whole-array operations --
-        no Python loop over processors.  All-scalar charges skip the
-        broadcasts: the same IEEE operations on one value per processor,
-        so counters and clocks match the array path bit for bit.
+        no Python loop over processors.
         """
-        if (
-            type(flops) in _SCALARS
-            and type(iops) in _SCALARS
-            and type(mem) in _SCALARS
-        ):
-            if flops < 0 or iops < 0 or mem < 0:
-                raise ValueError("operation counts must be non-negative")
-            fl, io, me = float(flops), float(iops), float(mem)
-            cost = self.cost
-            c = self.counters
-            c.clock += fl * cost.flop_time + io * cost.iop_time + me * cost.mem_time
-            c.flops += fl
-            c.iops += io
-            c.mem_ops += me
-            return
         n = self.n_procs
         fl = np.broadcast_to(np.asarray(flops, dtype=np.float64), (n,))
         io = np.broadcast_to(np.asarray(iops, dtype=np.float64), (n,))
