@@ -3,10 +3,9 @@
 The CHAOS layers pass "one list per processor" data around constantly
 (reference lists, translations, localized indices).  ``FlatRefs`` is the
 shared flat representation: one concatenated value array plus ``(P + 1,)``
-CSR bounds, so hot paths operate on single arrays while list consumers
-slice zero-copy segments.  It lives below both ``ttable`` and
-``localize`` so either layer can flatten or segment without duplicating
-the conversion.
+CSR bounds, so hot paths operate on single arrays.  It lives below both
+``ttable`` and ``localize`` so either layer can flatten list input
+without duplicating the conversion.
 """
 
 from __future__ import annotations
@@ -45,9 +44,3 @@ class FlatRefs:
 
     def sizes(self) -> np.ndarray:
         return np.diff(self.bounds)
-
-    def segment(self, p: int) -> np.ndarray:
-        return self.values[self.bounds[p] : self.bounds[p + 1]]
-
-    def segments(self) -> list[np.ndarray]:
-        return [self.segment(p) for p in range(self.n_procs)]

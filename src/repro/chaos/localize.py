@@ -19,8 +19,8 @@ plus CSR bounds (:class:`FlatRefs`), so the whole localize pass — one
 ``dereference_flat`` translation included — runs on single arrays with
 no per-processor concatenation or Python loop.  Plain per-processor
 lists are still accepted and flattened once at entry.  The result is
-flat too: :class:`LocalizeResult` stores ``(values, bounds)`` pairs and
-materializes per-processor list views only when a caller asks for them.
+flat too: :class:`LocalizeResult` holds the localized references and
+the ghost globals as ``(values, bounds)`` CSR pairs.
 
 Deduplication uses a direct ``np.sort`` over combined
 ``processor * stride + global_index`` keys (the reference stream is
@@ -36,6 +36,8 @@ telling each owner which of its elements to send.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,110 +71,35 @@ def sorted_unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return uniq, inverse
 
 
+@dataclass(eq=False, repr=False)
 class LocalizeResult:
-    """Everything an executor needs for one access pattern.
-
-    The canonical storage is flat (``refs_flat`` + ``ref_bounds``,
-    ``ghost_flat`` + ``ghost_bounds``); the per-processor ``local_refs``
-    and ``ghost_globals`` lists are zero-copy views into it, materialized
-    lazily the first time a caller asks (compat and tests — hot paths
-    stay flat).
+    """Everything an executor needs for one access pattern, in flat form.
 
     Attributes
     ----------
-    local_refs:
-        Per processor, the reference list rewritten to localized indices:
-        values ``< local_size`` index the local segment, values ``>=
-        local_size`` index ghost slot ``value - local_size``.
-    ghost_globals:
-        Per processor, the unique off-processor global indices in ghost
-        slot order (useful for debugging and tests).
     local_sizes:
         Per processor, the local segment size of the inspected
         distribution (the local/ghost boundary).
     schedule:
         The communication schedule that fills the ghost buffers.
     refs_flat / ref_bounds:
-        Flat CSR form of ``local_refs``.
+        The reference stream rewritten to localized indices, in CSR form:
+        processor ``p``'s references are
+        ``refs_flat[ref_bounds[p]:ref_bounds[p+1]]``.  Values
+        ``< local_sizes[p]`` index the local segment, values ``>=
+        local_sizes[p]`` index ghost slot ``value - local_sizes[p]``.
     ghost_flat / ghost_bounds:
-        Flat CSR form of ``ghost_globals``.
+        The unique off-processor global indices in ghost slot order, in
+        CSR form: processor ``p``'s are
+        ``ghost_flat[ghost_bounds[p]:ghost_bounds[p+1]]``.
     """
 
-    def __init__(
-        self,
-        local_refs: "list[np.ndarray] | None" = None,
-        ghost_globals: "list[np.ndarray] | None" = None,
-        local_sizes: "list[int] | None" = None,
-        schedule: CommSchedule | None = None,
-        refs_flat: np.ndarray | None = None,
-        ref_bounds: np.ndarray | None = None,
-        ghost_flat: np.ndarray | None = None,
-        ghost_bounds: np.ndarray | None = None,
-    ):
-        if local_refs is None and refs_flat is None:
-            raise ValueError("need local_refs or refs_flat")
-        if refs_flat is not None and ref_bounds is None:
-            raise ValueError("refs_flat needs its ref_bounds CSR array")
-        if ghost_flat is not None and ghost_bounds is None:
-            raise ValueError("ghost_flat needs its ghost_bounds CSR array")
-        self._local_refs = local_refs
-        self._ghost_globals = ghost_globals
-        self.local_sizes = local_sizes
-        self.schedule = schedule
-        self._refs_flat = refs_flat
-        self._ref_bounds = ref_bounds
-        self._ghost_flat = ghost_flat
-        self._ghost_bounds = ghost_bounds
-
-    # -- flat accessors (canonical) ----------------------------------------
-    @property
-    def refs_flat(self) -> np.ndarray:
-        if self._refs_flat is None:
-            flat = FlatRefs.from_lists(self._local_refs)
-            self._refs_flat, self._ref_bounds = flat.values, flat.bounds
-        return self._refs_flat
-
-    @property
-    def ref_bounds(self) -> np.ndarray:
-        self.refs_flat
-        return self._ref_bounds
-
-    @property
-    def ghost_flat(self) -> np.ndarray:
-        if self._ghost_flat is None:
-            flat = FlatRefs.from_lists(self._ghost_globals)
-            self._ghost_flat, self._ghost_bounds = flat.values, flat.bounds
-        return self._ghost_flat
-
-    @property
-    def ghost_bounds(self) -> np.ndarray:
-        self.ghost_flat
-        return self._ghost_bounds
-
-    # -- per-processor list views (lazy compat) ----------------------------
-    @property
-    def local_refs(self) -> list[np.ndarray]:
-        if self._local_refs is None:
-            b = self._ref_bounds
-            self._local_refs = [
-                self._refs_flat[b[p] : b[p + 1]] for p in range(b.size - 1)
-            ]
-        return self._local_refs
-
-    @property
-    def ghost_globals(self) -> list[np.ndarray]:
-        if self._ghost_globals is None:
-            b = self._ghost_bounds
-            self._ghost_globals = [
-                self._ghost_flat[b[p] : b[p + 1]] for p in range(b.size - 1)
-            ]
-        return self._ghost_globals
-
-    def split(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        """Boolean masks (is_local, is_ghost) for processor ``p``'s refs."""
-        refs = self.local_refs[p]
-        is_local = refs < self.local_sizes[p]
-        return is_local, ~is_local
+    local_sizes: list[int]
+    schedule: CommSchedule
+    refs_flat: np.ndarray
+    ref_bounds: np.ndarray
+    ghost_flat: np.ndarray
+    ghost_bounds: np.ndarray
 
 
 def localize(
@@ -332,7 +259,7 @@ def localize(
     sink.barrier()
 
     with obs.span("localize.schedule.build", n_pairs=int(pair_q.size)):
-        schedule = CommSchedule.from_flat(
+        schedule = CommSchedule(
             machine,
             dist.signature(),
             pair_q,

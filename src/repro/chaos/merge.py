@@ -129,7 +129,6 @@ def merged_message_count(schedules: list[CommSchedule]) -> tuple[int, int]:
     separate = sum(s.message_count() for s in schedules)
     pairs = set()
     for s in schedules:
-        for (q, p), sl in s.send_lists.items():
-            if len(sl) and q != p:
-                pairs.add((q, p))
+        cross = s._pair_q != s._pair_p
+        pairs.update(zip(s._pair_q[cross].tolist(), s._pair_p[cross].tolist()))
     return separate, len(pairs)

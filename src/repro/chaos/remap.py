@@ -54,32 +54,18 @@ class RemapSchedule:
         machine: Machine,
         old_signature: tuple,
         new_dist: Distribution,
-        moves: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] | None = None,
         *,
-        pair_p: np.ndarray | None = None,
-        pair_q: np.ndarray | None = None,
-        pair_counts: np.ndarray | None = None,
-        src_index: np.ndarray | None = None,
-        dst_index: np.ndarray | None = None,
+        pair_p: np.ndarray,
+        pair_q: np.ndarray,
+        pair_counts: np.ndarray,
+        src_index: np.ndarray,
+        dst_index: np.ndarray,
         carry_p: np.ndarray | None = None,
         carry_index: np.ndarray | None = None,
     ):
         self.machine = machine
         self.old_signature = old_signature
         self.new_dist = new_dist
-        if moves is not None:
-            # legacy constructor form: flatten the (src, dst) -> offsets
-            # dict once, skipping empty pairs (the old apply did too)
-            items = [(pq, sl, dl) for pq, (sl, dl) in moves.items() if len(sl)]
-            pair_p = np.array([pq[0] for pq, _, _ in items], dtype=np.int64)
-            pair_q = np.array([pq[1] for pq, _, _ in items], dtype=np.int64)
-            pair_counts = np.array([len(sl) for _, sl, _ in items], dtype=np.int64)
-            if items:
-                src_index = np.concatenate([np.asarray(sl, dtype=np.int64) for _, sl, _ in items])
-                dst_index = np.concatenate([np.asarray(dl, dtype=np.int64) for _, _, dl in items])
-            else:
-                src_index = np.empty(0, dtype=np.int64)
-                dst_index = np.empty(0, dtype=np.int64)
         self.pair_p = pair_p
         self.pair_q = pair_q
         self.pair_counts = pair_counts
@@ -104,20 +90,6 @@ class RemapSchedule:
         else:
             self._carry_dst_pos = None
         self._carry_src_pos: np.ndarray | None = None
-
-    @property
-    def moves(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-        """(src, dst) -> (old local offsets, new local offsets), materialized
-        lazily from the flattened arrays (compatibility/debugging view)."""
-        out = {}
-        starts = np.concatenate(([0], np.cumsum(self.pair_counts)))
-        for i in range(self.pair_p.size):
-            lo, hi = starts[i], starts[i + 1]
-            out[(int(self.pair_p[i]), int(self.pair_q[i]))] = (
-                self.src_index[lo:hi],
-                self.dst_index[lo:hi],
-            )
-        return out
 
     def element_count(self) -> int:
         """Elements that change processor (self-moves excluded)."""

@@ -1,12 +1,15 @@
 """Communication schedules: the central PARTI/CHAOS data structure.
 
 A :class:`CommSchedule` records, for one access pattern against one
-distribution, everything needed to move off-processor data:
+distribution, everything needed to move off-processor data, as flat
+arrays grouped by communicating pair:
 
-* ``send_lists[(q, p)]`` -- local offsets on owner ``q`` of the elements
-  requester ``p`` needs (what ``q`` packs and sends to ``p``), and
-* ``recv_slots[(q, p)]`` -- ghost-buffer slots on ``p`` where those
-  elements land, in wire order.
+* ``_pair_q`` / ``_pair_p`` / ``_pair_len`` -- one entry per non-empty
+  (owner ``q``, requester ``p``) pair, in pair order;
+* ``_flat_send`` -- every pair's local offsets on the owner (what ``q``
+  packs and sends to ``p``), concatenated in pair order;
+* ``_flat_recv`` -- the ghost slots on the requester where those
+  elements land, aligned with ``_flat_send``.
 
 The same schedule drives data in both directions: ``gather`` prefetches
 off-processor data into ghost buffers before an executor runs (reads),
@@ -14,21 +17,17 @@ and ``scatter``/``scatter_op`` pushes ghost-buffer contributions back to
 the owners afterwards (writes / reductions) -- PARTI's
 ``gather_exchange`` / ``scatter_op`` pair.
 
-Internally the per-pair lists are flattened once, at construction, into
-CSR-style arrays grouped by owner (pack side) and by requester (unpack
-side); hot callers construct directly from flat arrays via
-:meth:`CommSchedule.from_flat` (the pair dicts become lazy compat
-views).  Both sides of an application are then single fancy-indexes:
+Construction derives the apply arrays once: the pack side groups
+elements by owner, and every unpack slot resolves to a *ghost backing
+position* ``ghost_offset[p] + slot`` in the flat CSR ghost storage
+(:class:`~repro.chaos.buffers.GhostBuffers`, or a flat array laid out
+like one).  Both sides of an application are then single fancy-indexes:
 the array side over the ``DistArray``'s flat backing storage (pack,
 scatter store, or one ``ufunc.at`` for reductions), and the ghost side
-over a flat CSR ghost backing (``GhostBuffers`` stores every
-processor's buffer in one array; unpack slots resolve to *ghost backing
-positions* ``ghost_offset[p] + slot`` precomputed at construction).
-Callers may still pass per-processor buffer lists, which fall back to a
-compat loop.  Element order inside the flat arrays is pair insertion
-order and pack positions are grouped by owner ascending, so
+over the flat ghost backing.  Element order inside the flat arrays is
+pair order and pack positions are grouped by owner ascending, so
 duplicate-slot semantics (last writer wins) and floating-point
-accumulation order are identical to the historical per-pair loop.
+accumulation order equal those of a loop over pairs.
 
 A schedule is *bound to a distribution signature*: applying it to an
 array whose distribution has changed since inspection is a hard error
@@ -75,58 +74,6 @@ class CommSchedule:
         self,
         machine: Machine,
         dist_signature: tuple,
-        send_lists: dict[tuple[int, int], np.ndarray],
-        recv_slots: dict[tuple[int, int], np.ndarray],
-        ghost_sizes: list[int],
-        costs: ChaosCosts = DEFAULT_COSTS,
-    ):
-        n = machine.n_procs
-        if len(ghost_sizes) != n:
-            raise ValueError(f"expected {n} ghost sizes, got {len(ghost_sizes)}")
-        if set(send_lists) != set(recv_slots):
-            raise ValueError("send_lists and recv_slots must cover the same pairs")
-        self.machine = machine
-        self.dist_signature = dist_signature
-        self._send_dict = {
-            k: np.asarray(v, dtype=np.int64) for k, v in send_lists.items()
-        }
-        self._recv_dict = {
-            k: np.asarray(v, dtype=np.int64) for k, v in recv_slots.items()
-        }
-        self.ghost_sizes = [int(s) for s in ghost_sizes]
-        self.costs = costs
-
-        pairs = [
-            (q, p, sl, self._recv_dict[(q, p)])
-            for (q, p), sl in self._send_dict.items()
-        ]
-        pair_q = np.asarray([q for q, _, _, _ in pairs], dtype=np.int64)
-        pair_p = np.asarray([p for _, p, _, _ in pairs], dtype=np.int64)
-        pair_len = np.asarray([len(sl) for _, _, sl, _ in pairs], dtype=np.int64)
-        if pair_q.size and (
-            pair_q.min() < 0 or pair_q.max() >= n or pair_p.min() < 0 or pair_p.max() >= n
-        ):
-            for q, p, _, _ in pairs:
-                if not (0 <= q < n and 0 <= p < n):
-                    raise ValueError(f"processor pair ({q}, {p}) out of range")
-        for q, p, sl, rs in pairs:
-            if len(sl) != len(rs):
-                raise ValueError(
-                    f"pair ({q}, {p}): {len(sl)} sends but {len(rs)} recv slots"
-                )
-        if pairs:
-            flat_send = np.concatenate([sl for _, _, sl, _ in pairs])
-            flat_recv = np.concatenate([rs for _, _, _, rs in pairs])
-        else:
-            flat_send = np.empty(0, dtype=np.int64)
-            flat_recv = np.empty(0, dtype=np.int64)
-        self._init_flat(pair_q, pair_p, pair_len, flat_send, flat_recv)
-
-    @classmethod
-    def from_flat(
-        cls,
-        machine: Machine,
-        dist_signature: tuple,
         pair_q: np.ndarray,
         pair_p: np.ndarray,
         pair_len: np.ndarray,
@@ -134,25 +81,15 @@ class CommSchedule:
         flat_recv: np.ndarray,
         ghost_sizes: list[int],
         costs: ChaosCosts = DEFAULT_COSTS,
-    ) -> "CommSchedule":
-        """Construct directly from flat pair-grouped arrays (no dicts).
+    ):
+        """Construct from flat pair-grouped arrays.
 
         ``pair_q``/``pair_p``/``pair_len`` describe the communicating
-        pairs in insertion order; ``flat_send``/``flat_recv`` concatenate
-        each pair's local offsets / ghost slots in that order.  The
-        ``send_lists``/``recv_slots`` dict views are materialized lazily
-        for introspection and tests.
+        pairs in insertion order (empty pairs are dropped);
+        ``flat_send``/``flat_recv`` concatenate each pair's local offsets
+        / ghost slots in that order.
         """
-        n = machine.n_procs
-        if len(ghost_sizes) != n:
-            raise ValueError(f"expected {n} ghost sizes, got {len(ghost_sizes)}")
-        self = cls.__new__(cls)
-        self.machine = machine
-        self.dist_signature = dist_signature
-        self._send_dict = None
-        self._recv_dict = None
-        self.ghost_sizes = [int(s) for s in ghost_sizes]
-        self.costs = costs
+        self._bind(machine, dist_signature, ghost_sizes, costs)
         self._init_flat(
             np.asarray(pair_q, dtype=np.int64),
             np.asarray(pair_p, dtype=np.int64),
@@ -160,7 +97,21 @@ class CommSchedule:
             np.asarray(flat_send, dtype=np.int64),
             np.asarray(flat_recv, dtype=np.int64),
         )
-        return self
+
+    def _bind(
+        self,
+        machine: Machine,
+        dist_signature: tuple,
+        ghost_sizes: list[int],
+        costs: ChaosCosts,
+    ) -> None:
+        n = machine.n_procs
+        if len(ghost_sizes) != n:
+            raise ValueError(f"expected {n} ghost sizes, got {len(ghost_sizes)}")
+        self.machine = machine
+        self.dist_signature = dist_signature
+        self.ghost_sizes = [int(s) for s in ghost_sizes]
+        self.costs = costs
 
     @classmethod
     def from_entries(
@@ -202,7 +153,7 @@ class CommSchedule:
         else:
             seg_starts = np.empty(0, dtype=np.int64)
         seg_bounds = np.append(seg_starts, pair_id.size)
-        return cls.from_flat(
+        return cls(
             machine,
             dist_signature,
             q[seg_starts],
@@ -377,9 +328,8 @@ class CommSchedule:
         comp_flat = (flat_p * n + flat_q) * K + keep_key
         if E and (np.diff(comp_flat) < 0).any():
             return None
-        # canonical flat order sorts by requester p, so the stable
-        # recv_order in _init_flat was the identity and _unpack_src is
-        # exactly the flat -> wire permutation; invert it for wire -> flat
+        # _unpack_src is the flat -> wire permutation; invert it for
+        # wire -> flat
         W = np.empty(E, dtype=np.int64)
         W[self._unpack_src] = np.arange(E, dtype=np.int64)
         comp_wire = (flat_q * n + flat_p) * K + keep_key
@@ -468,88 +418,25 @@ class CommSchedule:
         pack/unpack sides, ghost positions, charge vectors -- without any
         argsort, bit-identically to the sorted path.
         """
-        n = machine.n_procs
-        if len(ghost_sizes) != n:
-            raise ValueError(f"expected {n} ghost sizes, got {len(ghost_sizes)}")
         self = cls.__new__(cls)
-        self.machine = machine
-        self.dist_signature = dist_signature
-        self._send_dict = None
-        self._recv_dict = None
-        self.ghost_sizes = [int(s) for s in ghost_sizes]
-        self.costs = costs
-        ghost_sz = np.asarray(self.ghost_sizes, dtype=np.int64)
+        self._bind(machine, dist_signature, ghost_sizes, costs)
+        n = machine.n_procs
         E = flat_q.size
-
         pair_id = flat_p * n + flat_q
         if E:
             seg_starts = np.concatenate(([0], np.flatnonzero(np.diff(pair_id)) + 1))
         else:
             seg_starts = np.empty(0, dtype=np.int64)
-        seg_bounds = np.append(seg_starts, E)
         self._pair_q = flat_q[seg_starts]
         self._pair_p = flat_p[seg_starts]
-        self._pair_len = np.diff(seg_bounds)
+        self._pair_len = np.diff(np.append(seg_starts, E))
         self._flat_send = flat_send
         self._flat_recv = flat_recv
-        if E:
-            bad = (flat_recv < 0) | (flat_recv >= ghost_sz[flat_p])
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ValueError(
-                    f"pair ({int(flat_q[i])}, {int(flat_p[i])}): recv slot out of "
-                    f"range [0, {int(ghost_sz[flat_p[i]])})"
-                )
-
-        self._pack_idx = flat_send[wire_perm]
-        self._pack_owner_rep = flat_q[wire_perm]
-        self._pack_pos = None
-        # canonical flat order is requester-sorted: recv_order would be
-        # the identity, so the unpack side is the flat arrays themselves
-        self._unpack_dst = flat_recv
-        self._unpack_src = np.empty(E, dtype=np.int64)
-        self._unpack_src[wire_perm] = np.arange(E, dtype=np.int64)
-        recv_counts = (
-            np.bincount(flat_p, minlength=n) if E else np.zeros(n, dtype=np.int64)
+        self._check_pairs(
+            self._pair_q, self._pair_p, self._pair_len, flat_send, flat_recv
         )
-        self._unpack_offsets = np.concatenate(([0], np.cumsum(recv_counts)))
-        self._unpack_procs = np.flatnonzero(recv_counts)
-        self._ghost_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(ghost_sz, out=self._ghost_off[1:])
-        self._unpack_pos = self._ghost_off[flat_p] + flat_recv
-        self._ghost_pos_wire = np.empty(E, dtype=np.int64)
-        self._ghost_pos_wire[self._unpack_src] = self._unpack_pos
-
-        per_pair_mem = self.costs.pack_unpack_mem * self._pair_len
-        self._pack_mem = np.zeros(n)
-        self._unpack_mem = np.zeros(n)
-        np.add.at(self._pack_mem, self._pair_q, per_pair_mem)
-        np.add.at(self._unpack_mem, self._pair_p, per_pair_mem)
-        self._n_elements = E
+        self._init_apply(flat_q, flat_p, wire_perm)
         return self
-
-    def _pair_dicts(self) -> tuple[dict, dict]:
-        if self._send_dict is None:
-            send: dict[tuple[int, int], np.ndarray] = {}
-            recv: dict[tuple[int, int], np.ndarray] = {}
-            starts = np.concatenate(([0], np.cumsum(self._pair_len)))
-            for i in range(self._pair_q.size):
-                key = (int(self._pair_q[i]), int(self._pair_p[i]))
-                send[key] = self._flat_send[starts[i] : starts[i + 1]]
-                recv[key] = self._flat_recv[starts[i] : starts[i + 1]]
-            self._send_dict = send
-            self._recv_dict = recv
-        return self._send_dict, self._recv_dict
-
-    @property
-    def send_lists(self) -> dict[tuple[int, int], np.ndarray]:
-        """(owner, requester) -> local offsets owner packs (compat view)."""
-        return self._pair_dicts()[0]
-
-    @property
-    def recv_slots(self) -> dict[tuple[int, int], np.ndarray]:
-        """(owner, requester) -> ghost slots at the requester (compat view)."""
-        return self._pair_dicts()[1]
 
     def _init_flat(
         self,
@@ -564,11 +451,9 @@ class CommSchedule:
         Nonempty pairs keep their insertion order; per-element flat
         order is pair order with each pair's elements contiguous.  The
         pack side groups elements by owner ``q`` (stable, so each owner's
-        segment stays in pair order); the unpack side keeps per-requester
-        element positions in flat order.
+        segment stays in pair order); the unpack side stays in flat order.
         """
-        n = self.machine.n_procs
-        ghost_sz = np.asarray(self.ghost_sizes, dtype=np.int64)
+        self._check_pairs(pair_q, pair_p, pair_len, flat_send, flat_recv)
         live = pair_len > 0
         #: per-message arrays in pair insertion order (nonempty pairs
         #: only; empty pairs contribute no elements, so the flat arrays
@@ -585,7 +470,64 @@ class CommSchedule:
         self._flat_recv = flat_recv
         flat_q = np.repeat(self._pair_q, self._pair_len)
         flat_p = np.repeat(self._pair_p, self._pair_len)
-        if flat_p.size:
+        # wire order groups elements by owner q, stable within
+        self._init_apply(flat_q, flat_p, np.argsort(flat_q, kind="stable"))
+
+    def _check_pairs(
+        self,
+        pair_q: np.ndarray,
+        pair_p: np.ndarray,
+        pair_len: np.ndarray,
+        flat_send: np.ndarray,
+        flat_recv: np.ndarray,
+    ) -> None:
+        """Reject malformed pair-grouped input with a ``ValueError``."""
+        n = self.machine.n_procs
+        if not pair_q.shape == pair_p.shape == pair_len.shape:
+            raise ValueError(
+                f"pair arrays differ in shape: pair_q {pair_q.shape}, "
+                f"pair_p {pair_p.shape}, pair_len {pair_len.shape}"
+            )
+        bad = (pair_q < 0) | (pair_q >= n) | (pair_p < 0) | (pair_p >= n)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ValueError(
+                f"processor pair ({int(pair_q[i])}, {int(pair_p[i])}) out of "
+                f"range [0, {n})"
+            )
+        if (pair_len < 0).any():
+            i = int(np.flatnonzero(pair_len < 0)[0])
+            raise ValueError(
+                f"pair ({int(pair_q[i])}, {int(pair_p[i])}): negative length "
+                f"{int(pair_len[i])}"
+            )
+        total = int(pair_len.sum())
+        if flat_send.shape != (total,) or flat_recv.shape != (total,):
+            raise ValueError(
+                f"pair lengths sum to {total}, but flat_send has shape "
+                f"{flat_send.shape} and flat_recv {flat_recv.shape}"
+            )
+
+    def _init_apply(
+        self,
+        flat_q: np.ndarray,
+        flat_p: np.ndarray,
+        wire_perm: np.ndarray,
+    ) -> None:
+        """Derive the pack/unpack apply arrays and the memory charges.
+
+        ``wire_perm`` maps wire position -> flat position (elements
+        grouped by owner, stable).  The unpack side is in flat order:
+        duplicate ghost slots belong to one requester, so flat order is
+        their pair order and the last writer is the same as in a loop
+        over pairs.  Checks every recv slot against its requester's
+        ghost region first.
+        """
+        n = self.machine.n_procs
+        ghost_sz = np.asarray(self.ghost_sizes, dtype=np.int64)
+        flat_recv = self._flat_recv
+        E = flat_q.size
+        if E:
             bad = (flat_recv < 0) | (flat_recv >= ghost_sz[flat_p])
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
@@ -593,46 +535,32 @@ class CommSchedule:
                     f"pair ({int(flat_q[i])}, {int(flat_p[i])}): recv slot out of "
                     f"range [0, {int(ghost_sz[flat_p[i]])})"
                 )
-
-        # pack side: wire order groups elements by owner q, stable within
-        wire_perm = np.argsort(flat_q, kind="stable")
-        self._pack_idx = flat_send[wire_perm]
-        owner_counts = np.bincount(flat_q, minlength=n) if flat_q.size else np.zeros(n, dtype=np.int64)
+        self._pack_idx = self._flat_send[wire_perm]
         #: owner of each packed element (wire order); flat backing
         #: positions are resolved lazily against the bound distribution
-        self._pack_owner_rep = np.repeat(np.arange(n, dtype=np.int64), owner_counts)
+        self._pack_owner_rep = flat_q[wire_perm]
         self._pack_pos: np.ndarray | None = None
-
-        # unpack side: per requester p, ghost slots in flat (pair) order
-        # plus the wire positions holding their data
-        inv_perm = np.empty(wire_perm.size, dtype=np.int64)
-        inv_perm[wire_perm] = np.arange(wire_perm.size)
-        recv_order = np.argsort(flat_p, kind="stable")
-        self._unpack_dst = flat_recv[recv_order]
-        self._unpack_src = inv_perm[recv_order]
-        recv_counts = np.bincount(flat_p, minlength=n) if flat_p.size else np.zeros(n, dtype=np.int64)
-        self._unpack_offsets = np.concatenate(([0], np.cumsum(recv_counts)))
-        self._unpack_procs = np.flatnonzero(recv_counts)
+        # wire position holding each flat element's data
+        self._unpack_src = np.empty(E, dtype=np.int64)
+        self._unpack_src[wire_perm] = np.arange(E, dtype=np.int64)
         # flat-ghost-backing resolution: slot s of requester p lives at
         # ghost backing position ghost_off[p] + s (GhostBuffers layout)
         self._ghost_off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(ghost_sz, out=self._ghost_off[1:])
-        self._unpack_pos = (
-            self._ghost_off[flat_p[recv_order]] + self._unpack_dst
-        )
+        self._unpack_pos = self._ghost_off[flat_p] + flat_recv
         # reverse path, wire order: every wire position is fed by exactly
         # one ghost backing position, so packing ghosts is one gather
-        self._ghost_pos_wire = np.empty(self._unpack_src.size, dtype=np.int64)
+        self._ghost_pos_wire = np.empty(E, dtype=np.int64)
         self._ghost_pos_wire[self._unpack_src] = self._unpack_pos
 
-        # per-processor pack/unpack memory charges (pair-order accumulation,
-        # matching the historical per-pair loop bit for bit)
+        # per-processor pack/unpack memory charges (pair-order
+        # accumulation, matching a per-pair loop bit for bit)
         per_pair_mem = self.costs.pack_unpack_mem * self._pair_len
         self._pack_mem = np.zeros(n)
         self._unpack_mem = np.zeros(n)
         np.add.at(self._pack_mem, self._pair_q, per_pair_mem)
         np.add.at(self._unpack_mem, self._pair_p, per_pair_mem)
-        self._n_elements = int(self._pair_len.sum())
+        self._n_elements = E
 
     # ------------------------------------------------------------------
     # introspection
@@ -662,15 +590,12 @@ class CommSchedule:
         if arr.machine is not self.machine:
             raise ValueError("schedule and array live on different machines")
 
-    def _resolve_ghosts(self, ghosts) -> np.ndarray | None:
-        """Resolve ghost storage to its flat CSR backing, if it has one.
+    def _resolve_ghosts(self, ghosts) -> np.ndarray:
+        """Resolve ghost storage to its flat CSR backing.
 
         Accepts a :class:`~repro.chaos.buffers.GhostBuffers`-style object
-        (``backing`` + ``offsets`` attributes), a flat 1-D array laid out
-        like one (``ghost_offset[p] + slot``), or the legacy per-processor
-        list of arrays.  Returns the flat backing for the first two forms
-        and ``None`` for the list form (callers fall back to the per-proc
-        compat loop).
+        (``backing`` + ``offsets`` attributes) or a flat 1-D array laid
+        out like one (``ghost_offset[p] + slot``).
         """
         backing = getattr(ghosts, "backing", None)
         if backing is not None:
@@ -681,27 +606,17 @@ class CommSchedule:
                     f"offsets {offsets!r} != {self._ghost_off!r}"
                 )
             return backing
-        if isinstance(ghosts, np.ndarray):
-            if ghosts.ndim != 1 or ghosts.size != self._ghost_off[-1]:
-                raise ValueError(
-                    f"flat ghost array has shape {ghosts.shape}, schedule "
-                    f"needs ({int(self._ghost_off[-1])},)"
-                )
-            return ghosts
-        self._check_ghost_list(ghosts)
-        return None
-
-    def _check_ghost_list(self, ghosts: list[np.ndarray]) -> None:
-        if len(ghosts) != self.n_procs:
-            raise ValueError(
-                f"expected {self.n_procs} ghost buffers, got {len(ghosts)}"
+        if not isinstance(ghosts, np.ndarray):
+            raise TypeError(
+                "ghost buffers must be a GhostBuffers or a flat array, got "
+                f"{type(ghosts).__name__}"
             )
-        for p, buf in enumerate(ghosts):
-            if buf.shape != (self.ghost_sizes[p],):
-                raise ValueError(
-                    f"ghost buffer for processor {p} has shape {buf.shape}, "
-                    f"schedule needs ({self.ghost_sizes[p]},)"
-                )
+        if ghosts.ndim != 1 or ghosts.size != self._ghost_off[-1]:
+            raise ValueError(
+                f"flat ghost array has shape {ghosts.shape}, schedule "
+                f"needs ({int(self._ghost_off[-1])},)"
+            )
+        return ghosts
 
     # ------------------------------------------------------------------
     # flat data movement (shared with merged-communication paths)
@@ -730,39 +645,21 @@ class CommSchedule:
             # charged message volume below is untouched either way
             wire, keep = faults.on_gather_wire(wire)
         backing = self._resolve_ghosts(ghosts)
-        if backing is not None:
-            # one store over the flat ghost backing unpacks every
-            # requester at once; element order is flat (pair) order, so
-            # duplicate-slot last-writer semantics match the old loop
-            if keep is None:
-                backing[self._unpack_pos] = wire[self._unpack_src]
-            else:
-                sel = keep[self._unpack_src]
-                backing[self._unpack_pos[sel]] = wire[self._unpack_src[sel]]
-            return
-        off = self._unpack_offsets
-        for p in self._unpack_procs:
-            seg = slice(off[p], off[p + 1])
-            src = self._unpack_src[seg]
-            dst = self._unpack_dst[seg]
-            if keep is not None:
-                m = keep[src]
-                src, dst = src[m], dst[m]
-            ghosts[p][dst] = wire[src]
+        # one store over the flat ghost backing unpacks every requester
+        # at once; element order is flat (pair) order, so duplicate-slot
+        # last-writer semantics match a loop over pairs
+        if keep is None:
+            backing[self._unpack_pos] = wire[self._unpack_src]
+        else:
+            sel = keep[self._unpack_src]
+            backing[self._unpack_pos[sel]] = wire[self._unpack_src[sel]]
 
     def _gather_from_ghosts(self, ghosts, dtype) -> np.ndarray:
         """Pack ghost contributions onto the wire (reverse direction)."""
+        # every wire position is fed by exactly one ghost backing
+        # position: packing all requesters is one gather
         backing = self._resolve_ghosts(ghosts)
-        if backing is not None:
-            # every wire position is fed by exactly one ghost backing
-            # position: packing all requesters is one gather
-            return backing[self._ghost_pos_wire].astype(dtype, copy=False)
-        wire = np.empty(self._n_elements, dtype=dtype)
-        off = self._unpack_offsets
-        for p in self._unpack_procs:
-            seg = slice(off[p], off[p + 1])
-            wire[self._unpack_src[seg]] = ghosts[p][self._unpack_dst[seg]]
-        return wire
+        return backing[self._ghost_pos_wire].astype(dtype, copy=False)
 
     def _move_reverse(
         self,
@@ -791,12 +688,11 @@ class CommSchedule:
     def gather(self, arr: DistArray, ghosts) -> None:
         """Prefetch off-processor data into ghost buffers (one phase).
 
-        For every pair ``(q, p)``: owner ``q`` packs
-        ``arr.local(q)[send_lists]`` and requester ``p`` stores the wire
-        data at ``ghosts[p][recv_slots]``.  ``ghosts`` is a
-        ``GhostBuffers``, an equivalently laid-out flat array, or a
-        per-processor list of buffers.  Charges packing/unpacking memory
-        traffic and the message exchange.
+        For every pair ``(q, p)``: owner ``q`` packs its elements at the
+        pair's send offsets and requester ``p`` stores the wire data at
+        the pair's recv slots of its ghost buffer.  ``ghosts`` is a
+        ``GhostBuffers`` or an equivalently laid-out flat array.  Charges
+        packing/unpacking memory traffic and the message exchange.
         """
         self._check_array(arr)
         m = self.machine

@@ -44,7 +44,7 @@ class PatternData:
     Under pattern coalescing (PARTI's incremental-schedule optimization)
     several patterns on the same array share one ``LocalizeResult``
     *schedule* and one ghost region; each pattern keeps its own
-    ``localized`` view whose ``local_refs`` index the shared space.
+    ``localized`` result whose ``refs_flat`` index the shared space.
 
     ``exec_space`` / ``exec_refs`` are executor-side caches (see
     ``repro.core.executor``): pure functions of this immutable product
@@ -239,20 +239,29 @@ def run_inspector(
         # coalesced: localize the union of all patterns' reference lists.
         # Every pattern's per-processor segment has the same size (all
         # reference streams are gathers over the iteration partition), so
-        # the concatenation is built lazily -- a warm cache hit skips it
-        # -- and the split back out is pure size arithmetic.
-        def combined_refs(indexes=indexes) -> list:
-            per_pattern = [per_proc_refs(index) for index in indexes]
-            return [
-                np.concatenate([fr.segment(p) for fr in per_pattern])
-                if any(fr.segment(p).size for fr in per_pattern)
-                else np.empty(0, dtype=np.int64)
-                for p in range(n_procs)
-            ]
+        # processor p's combined segment is the K pattern segments back to
+        # back, the combined bounds are K * iter_bounds, and pattern k's
+        # segment on p starts at ref_bounds[p] + k * seg[p].  The
+        # concatenation is built lazily -- a warm cache hit skips it.
+        K = len(indexes)
+        seg_sizes = np.diff(iter_bounds)
+        seg_starts = iter_bounds[:-1].tolist()
+        seg_list = seg_sizes.tolist()
 
-        with obs.span(
-            "inspector.localize", array=array_name, patterns=len(indexes)
-        ):
+        def combined_refs(indexes=indexes) -> FlatRefs:
+            values = [per_proc_refs(index).values for index in indexes]
+            return FlatRefs(
+                np.concatenate(
+                    [
+                        v[start : start + size]
+                        for start, size in zip(seg_starts, seg_list)
+                        for v in values
+                    ]
+                ),
+                K * iter_bounds,
+            )
+
+        with obs.span("inspector.localize", array=array_name, patterns=K):
             loc = localize(
                 machine,
                 tt,
@@ -262,19 +271,23 @@ def run_inspector(
                 cache_key=loc_cache_key(tt, arr.distribution, tuple(indexes)),
             )
         ghosts = GhostBuffers(machine, loc.schedule, dtype=arr.dtype, costs=costs)
-        # split the localized reference lists back out per pattern
-        seg_sizes = np.diff(iter_bounds)
+        # split the localized stream back out per pattern: one
+        # concatenation of P contiguous slices each
+        combined_starts = loc.ref_bounds[:-1]
         for k, index in enumerate(indexes):
-            split_refs = []
-            for p in range(n_procs):
-                start = k * int(seg_sizes[p])
-                stop = start + int(seg_sizes[p])
-                split_refs.append(loc.local_refs[p][start:stop])
+            starts = (combined_starts + k * seg_sizes).tolist()
             view = LocalizeResult(
-                local_refs=split_refs,
-                ghost_globals=loc.ghost_globals,
                 local_sizes=loc.local_sizes,
                 schedule=loc.schedule,
+                refs_flat=np.concatenate(
+                    [
+                        loc.refs_flat[start : start + size]
+                        for start, size in zip(starts, seg_list)
+                    ]
+                ),
+                ref_bounds=iter_bounds,
+                ghost_flat=loc.ghost_flat,
+                ghost_bounds=loc.ghost_bounds,
             )
             patterns[(array_name, index)] = PatternData(
                 array=array_name, index=index, localized=view, ghosts=ghosts

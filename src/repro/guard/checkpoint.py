@@ -383,7 +383,7 @@ def _restore_products(program, payload: dict, loops: dict) -> dict:
     """Rebuild records/schedules/ghosts; returns the record dict."""
     machine = program.machine
     sched_by_id = {
-        sid: CommSchedule.from_flat(
+        sid: CommSchedule(
             machine,
             s["dist_signature"],
             s["pair_q"],

@@ -273,8 +273,6 @@ class FaultPlan:
         start = int(np.concatenate(([0], np.cumsum(plen)))[cand[0]])
         recv = sched._flat_recv.copy()
         recv[start], recv[start + 1] = recv[start + 1], recv[start]
-        sched._send_dict = None
-        sched._recv_dict = None
         sched._init_flat(
             sched._pair_q, sched._pair_p, sched._pair_len, sched._flat_send, recv
         )

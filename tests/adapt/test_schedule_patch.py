@@ -33,7 +33,7 @@ class TestEntriesRoundTrip:
         key_of = np.empty(q.size, dtype=np.int64)
         for pp in range(4):
             sel = p == pp
-            key_of[sel] = loc.ghost_globals[pp][recv[sel]]
+            key_of[sel] = loc.ghost_flat[loc.ghost_bounds[pp] + recv[sel]]
         rebuilt = CommSchedule.from_entries(
             m, sched.dist_signature, q, p, send, recv,
             sched.ghost_sizes, order_key=key_of,
@@ -61,7 +61,7 @@ class TestPatched:
         key_of = np.empty(q.size, dtype=np.int64)
         for pp in range(4):
             sel = p == pp
-            key_of[sel] = loc.ghost_globals[pp][recv[sel]]
+            key_of[sel] = loc.ghost_flat[loc.ghost_bounds[pp] + recv[sel]]
         same = sched.patched(
             np.ones(q.size, dtype=bool),
             add_q=np.empty(0, dtype=np.int64),

@@ -321,11 +321,6 @@ def test_charge_matches_bounds_formula(coalesce):
     product = run_inspector(
         Machine(8), loop, prog.arrays, coalesce_patterns=coalesce
     )
-    split_views = [pat.localized for pat in product.patterns.values()]
-    charge_state_build(Machine(8), product, prog.arrays)
-    if coalesce:
-        # the charge reads list lengths: no split view was flattened
-        assert all(loc._refs_flat is None for loc in split_views)
     assert_same_charge(product, prog.arrays, 8)
     # and on a patched product, whose slot spaces carry holes
     prog.forall(loop)

@@ -94,6 +94,31 @@ def naive_apply(machine, moves, new_dist, arr, costs=DEFAULT_COSTS):
     arr.rebind(new_dist, new_locals)
 
 
+def moves_of(sched):
+    """(src, dst) -> (old offsets, new offsets) from a schedule's pair arrays."""
+    starts = np.concatenate(([0], np.cumsum(sched.pair_counts)))
+    return {
+        (int(p), int(q)): (sched.src_index[lo:hi], sched.dst_index[lo:hi])
+        for p, q, lo, hi in zip(sched.pair_p, sched.pair_q, starts[:-1], starts[1:])
+    }
+
+
+def schedule_from_moves(machine, old_signature, new_dist, moves):
+    """A RemapSchedule over the non-empty pairs of a naive move dict."""
+    items = [(pq, sl, dl) for pq, (sl, dl) in moves.items() if len(sl)]
+    empty = np.empty(0, dtype=np.int64)
+    return RemapSchedule(
+        machine,
+        old_signature,
+        new_dist,
+        pair_p=np.array([pq[0] for pq, _, _ in items], dtype=np.int64),
+        pair_q=np.array([pq[1] for pq, _, _ in items], dtype=np.int64),
+        pair_counts=np.array([len(sl) for _, sl, _ in items], dtype=np.int64),
+        src_index=np.concatenate([empty, *(sl for _, sl, _ in items)]),
+        dst_index=np.concatenate([empty, *(dl for _, _, dl in items)]),
+    )
+
+
 # ----------------------------------------------------------------------
 # randomized distribution pairs
 # ----------------------------------------------------------------------
@@ -155,8 +180,8 @@ def test_remap_matches_naive(n_procs, size, seed):
     assert counters(m_flat) == counters(m_ref)
     assert m_flat.elapsed() == m_ref.elapsed()
 
-    # the naive move dict and the lazily-materialized flattened view agree
-    flat_moves = sched.moves
+    # the naive move dict and the flattened pair arrays agree
+    flat_moves = moves_of(sched)
     assert set(flat_moves) == set(moves)
     for key in moves:
         np.testing.assert_array_equal(flat_moves[key][0], moves[key][0])
@@ -227,8 +252,9 @@ def test_apply_honors_custom_costs():
 
 
 def test_legacy_moves_constructor_equivalent():
-    """A schedule built from an explicit moves dict behaves identically to
-    one built from the flattened arrays."""
+    """A schedule built from an explicit naive moves dict (flattened by
+    ``schedule_from_moves``) behaves identically to one built by
+    ``build_remap_schedule``."""
     n_procs, size, seed = 4, 36, 9
     rng = np.random.default_rng(seed)
     m_a = Machine(n_procs)
@@ -240,7 +266,8 @@ def test_legacy_moves_constructor_equivalent():
     arr_b = DistArray.from_global(m_b, old_dist, vals)
 
     flat = build_remap_schedule(m_a, old_dist, new_dist)
-    legacy = RemapSchedule(m_b, old_dist.signature(), new_dist, flat.moves)
+    moves = naive_build(Machine(n_procs), old_dist, new_dist)
+    legacy = schedule_from_moves(m_b, old_dist.signature(), new_dist, moves)
     m_b.counters.clock[:] = m_a.counters.clock
     m_b.counters.iops[:] = m_a.counters.iops
     m_b.counters.messages_sent[:] = m_a.counters.messages_sent

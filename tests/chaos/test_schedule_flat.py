@@ -1,13 +1,15 @@
-"""Flattened-schedule equivalence: CSR apply path vs the naive pair loop.
+"""Flattened-schedule equivalence: CSR apply path vs a naive pair loop.
 
-``CommSchedule`` historically iterated ``send_lists`` pair by pair; it
-now applies one flattened fancy-index per processor.  These tests keep a
-small naive reference implementation (the old per-pair semantics) and
-check, over randomized schedules, that gather / scatter / scatter_op
-produce *identical* array contents and *bit-identical* per-processor
-machine clocks and counters -- including the order-sensitive cases:
-duplicate recv slots (last writer wins) and floating-point reduction
-accumulation order.
+``CommSchedule`` stores its pairs as flat arrays and applies one
+fancy-index over the flat array and ghost backings.  These tests keep a
+small naive reference implementation that walks (owner, requester) ->
+offsets dicts pair by pair, over per-processor ghost arrays, and check,
+over randomized schedules, that gather / scatter / scatter_op produce
+*identical* array contents and *bit-identical* per-processor machine
+clocks and counters -- including the order-sensitive cases: duplicate
+recv slots (last writer wins) and floating-point reduction accumulation
+order.  ``schedule_from_pairs`` flattens the same dicts into the
+schedule under test.
 """
 
 import numpy as np
@@ -21,8 +23,30 @@ from repro.machine.machine import Machine
 
 
 # ----------------------------------------------------------------------
-# naive reference: the historical per-(sender, receiver)-pair loop
+# naive reference: a per-(sender, receiver)-pair loop over dicts
 # ----------------------------------------------------------------------
+def schedule_from_pairs(machine, signature, send_lists, recv_slots, ghost_sizes):
+    """A CommSchedule over the pairs of two (owner, requester) dicts."""
+    keys = list(send_lists)
+    empty = np.empty(0, dtype=np.int64)
+    return CommSchedule(
+        machine,
+        signature,
+        [q for q, _ in keys],
+        [p for _, p in keys],
+        [len(send_lists[k]) for k in keys],
+        np.concatenate([empty, *(send_lists[k] for k in keys)]),
+        np.concatenate([empty, *(recv_slots[k] for k in keys)]),
+        ghost_sizes,
+    )
+
+
+def split_ghosts(flat, ghost_sizes):
+    """Per-processor copies of a flat ghost array."""
+    bounds = np.concatenate(([0], np.cumsum(ghost_sizes)))
+    return [flat[bounds[p] : bounds[p + 1]].copy() for p in range(len(ghost_sizes))]
+
+
 def naive_gather(machine, send_lists, recv_slots, arr, ghosts, costs=DEFAULT_COSTS):
     n = machine.n_procs
     pack = np.zeros(n)
@@ -129,15 +153,16 @@ def test_gather_matches_naive(n_procs, size, seed):
     m_ref, arr_ref, _ = make_world(n_procs, size, seed)
     send, recv, gsizes = random_schedule_parts(rng, n_procs, min_local)
 
-    sched = CommSchedule(m_flat, arr_flat.distribution.signature(), send, recv, gsizes)
-    g_flat = [np.zeros(s) for s in gsizes]
+    sig = arr_flat.distribution.signature()
+    sched = schedule_from_pairs(m_flat, sig, send, recv, gsizes)
+    g_flat = np.zeros(sum(gsizes))
     g_ref = [np.zeros(s) for s in gsizes]
 
     sched.gather(arr_flat, g_flat)
-    naive_gather(m_ref, sched.send_lists, sched.recv_slots, arr_ref, g_ref)
+    naive_gather(m_ref, send, recv, arr_ref, g_ref)
 
-    for p in range(n_procs):
-        np.testing.assert_array_equal(g_flat[p], g_ref[p])
+    for p, got in enumerate(split_ghosts(g_flat, gsizes)):
+        np.testing.assert_array_equal(got, g_ref[p])
     assert clocks(m_flat) == clocks(m_ref)
     assert counters(m_flat) == counters(m_ref)
 
@@ -150,9 +175,10 @@ def test_reverse_matches_naive(n_procs, size, seed, opname):
     m_ref, arr_ref, _ = make_world(n_procs, size, seed)
     send, recv, gsizes = random_schedule_parts(rng, n_procs, min_local)
 
-    sched = CommSchedule(m_flat, arr_flat.distribution.signature(), send, recv, gsizes)
+    sig = arr_flat.distribution.signature()
+    sched = schedule_from_pairs(m_flat, sig, send, recv, gsizes)
     contrib = [rng.normal(size=s) for s in gsizes]
-    g_flat = [c.copy() for c in contrib]
+    g_flat = np.concatenate([np.empty(0), *contrib])
     g_ref = [c.copy() for c in contrib]
 
     op = {"assign": None, "add": np.add, "max": np.maximum}[opname]
@@ -160,7 +186,7 @@ def test_reverse_matches_naive(n_procs, size, seed, opname):
         sched.scatter(g_flat, arr_flat)
     else:
         sched.scatter_op(g_flat, arr_flat, op)
-    naive_reverse(m_ref, sched.send_lists, sched.recv_slots, g_ref, arr_ref, op)
+    naive_reverse(m_ref, send, recv, g_ref, arr_ref, op)
 
     for p in range(n_procs):
         np.testing.assert_array_equal(arr_flat.local(p), arr_ref.local(p))
@@ -183,13 +209,14 @@ def test_empty_and_self_pairs():
         (0, 1): np.array([1, 0]),
     }
     gsizes = [2, 2]
-    sched = CommSchedule(m_flat, arr_flat.distribution.signature(), send, recv, gsizes)
-    g_flat = [np.zeros(2), np.zeros(2)]
+    sig = arr_flat.distribution.signature()
+    sched = schedule_from_pairs(m_flat, sig, send, recv, gsizes)
+    g_flat = np.zeros(4)
     g_ref = [np.zeros(2), np.zeros(2)]
     sched.gather(arr_flat, g_flat)
-    naive_gather(m_ref, sched.send_lists, sched.recv_slots, arr_ref, g_ref)
-    for p in range(2):
-        np.testing.assert_array_equal(g_flat[p], g_ref[p])
+    naive_gather(m_ref, send, recv, arr_ref, g_ref)
+    for p, got in enumerate(split_ghosts(g_flat, gsizes)):
+        np.testing.assert_array_equal(got, g_ref[p])
     assert clocks(m_flat) == clocks(m_ref)
     # the empty pair must not produce a message
     assert m_flat.procs[1].stats.messages_sent == 0
@@ -199,7 +226,9 @@ def small_schedule(seed=21):
     rng = np.random.default_rng(seed)
     machine, arr, min_local = make_world(4, 40, seed)
     send, recv, gsizes = random_schedule_parts(rng, 4, min_local)
-    return CommSchedule(machine, arr.distribution.signature(), send, recv, gsizes)
+    return schedule_from_pairs(
+        machine, arr.distribution.signature(), send, recv, gsizes
+    )
 
 
 class TestEntriesImmutability:
@@ -283,3 +312,58 @@ class TestTwin:
         b = tw.entries()
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+class TestConstructorValidation:
+    """Every constructor rejects malformed pair-grouped input."""
+
+    def build(self, pair_q, pair_p, pair_len, flat_send, flat_recv):
+        machine, arr, _ = make_world(2, 10, 0)
+        return CommSchedule(
+            machine,
+            arr.distribution.signature(),
+            pair_q,
+            pair_p,
+            pair_len,
+            flat_send,
+            flat_recv,
+            [2, 2],
+        )
+
+    def test_valid_input_builds(self):
+        sched = self.build([0, 1], [1, 0], [2, 1], [0, 1, 2], [0, 1, 1])
+        assert sched.element_count() == 3
+
+    @pytest.mark.parametrize("pair_q,pair_p", [([0], [5]), ([-1], [1])])
+    def test_pair_id_out_of_range(self, pair_q, pair_p):
+        with pytest.raises(ValueError, match=r"pair \(.*\) out of range \[0, 2\)"):
+            self.build(pair_q, pair_p, [1], [0], [0])
+
+    def test_negative_pair_length(self):
+        with pytest.raises(ValueError, match=r"pair \(1, 0\): negative length -1"):
+            self.build([0, 1], [1, 0], [2, -1], [0], [0])
+
+    @pytest.mark.parametrize(
+        "flat_send,flat_recv", [([0, 1, 2], [0, 1]), ([0, 1], [0]), ([0], [0])]
+    )
+    def test_flat_sizes_must_match_pair_lengths(self, flat_send, flat_recv):
+        with pytest.raises(ValueError, match="pair lengths sum to 2"):
+            self.build([0], [1], [2], flat_send, flat_recv)
+
+    def test_pair_array_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="pair arrays differ in shape"):
+            self.build([0, 1], [1], [1, 1], [0, 0], [0, 0])
+
+    def test_from_entries_checks_pair_ids(self):
+        machine, arr, _ = make_world(2, 10, 0)
+        with pytest.raises(ValueError, match="out of range"):
+            CommSchedule.from_entries(
+                machine, arr.distribution.signature(), [0], [5], [0], [0], [2, 2]
+            )
+
+    def test_patched_checks_added_pair_ids(self):
+        sched = small_schedule()
+        keep = np.ones(sched._n_elements, dtype=bool)
+        one = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match="out of range"):
+            sched.patched(keep, one, one + 7, one, one, sched.ghost_sizes)

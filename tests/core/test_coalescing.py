@@ -180,3 +180,76 @@ class TestSavings:
             outs[co] = (prog.arrays["y"].to_global(), m.elapsed())
         assert np.allclose(outs[False][0], outs[True][0])
         assert outs[True][1] <= outs[False][1]
+
+
+def split_oracle(arrays, product, data, indexes):
+    """Per pattern, per processor: the localized references, sliced out of
+    a naively localized combined stream.
+
+    Processor ``p``'s combined stream is every pattern's references back
+    to back; a reference owned by ``p`` localizes to its local offset,
+    any other to ``local_size(p)`` + its rank among ``p``'s sorted unique
+    off-processor references.  Pattern ``k``'s segment on ``p`` is
+    ``[k * n_iter(p), (k + 1) * n_iter(p))`` of that stream.
+    """
+    dist = arrays[data].distribution
+    flat, bounds = product.iteration_partition.iters_flat()
+    out = {ix: [] for ix in indexes}
+    for p in range(len(bounds) - 1):
+        its = flat[bounds[p] : bounds[p + 1]]
+        combined = np.concatenate(
+            [np.asarray(arrays[ix].to_global(), dtype=np.int64)[its] for ix in indexes]
+        )
+        localized = combined.copy()
+        if combined.size:
+            owner = np.asarray(dist.owner(combined))
+            ghosts = np.unique(combined[owner != p])
+            localized = np.where(
+                owner == p,
+                np.asarray(dist.local_index(combined)),
+                dist.local_size(p) + np.searchsorted(ghosts, combined),
+            )
+        for k, ix in enumerate(indexes):
+            out[ix].append(localized[k * its.size : (k + 1) * its.size])
+    return out
+
+
+class TestFlatSplit:
+    """Each coalesced pattern's flat refs equal a naive per-processor split."""
+
+    def check(self, product, arrays):
+        _, iter_bounds = product.iteration_partition.iters_flat()
+        for data in ("x", "y"):
+            oracle = split_oracle(arrays, product, data, ["e1", "e2"])
+            shared = product.pattern(data, "e1").localized
+            for ix in ("e1", "e2"):
+                loc = product.pattern(data, ix).localized
+                assert loc.schedule is shared.schedule
+                assert loc.ghost_flat is shared.ghost_flat
+                assert loc.ghost_bounds is shared.ghost_bounds
+                np.testing.assert_array_equal(loc.ref_bounds, iter_bounds)
+                b = loc.ref_bounds
+                for p, want in enumerate(oracle[ix]):
+                    np.testing.assert_array_equal(loc.refs_flat[b[p] : b[p + 1]], want)
+
+    @pytest.mark.parametrize("n_procs", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n_iter", [3, 40])
+    def test_cold_and_warm_split_match_oracle(self, n_procs, n_iter):
+        from repro.chaos.transcache import TranslationCache
+
+        m = Machine(n_procs)
+        arrays, _ = build_arrays(m, n_iter=n_iter, seed=n_procs + n_iter)
+        cache = TranslationCache()
+        cold = run_inspector(m, edge_loop(n_iter), arrays, cache=cache)
+        sizes = np.diff(cold.iteration_partition.iters_flat()[1])
+        if n_procs > n_iter:
+            assert (sizes == 0).any()
+        self.check(cold, arrays)
+        hits = cache.kind_hits.get("localize", 0)
+        warm = run_inspector(m, edge_loop(n_iter), arrays, cache=cache)
+        assert cache.kind_hits.get("localize", 0) > hits
+        self.check(warm, arrays)
+        for key, pat in cold.patterns.items():
+            np.testing.assert_array_equal(
+                warm.patterns[key].localized.refs_flat, pat.localized.refs_flat
+            )

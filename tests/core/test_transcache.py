@@ -81,10 +81,10 @@ def assert_products_equal(a, b):
     for key, pa in a.patterns.items():
         pb = b.patterns[key]
         la, lb = pa.localized, pb.localized
-        for ga, gb in zip(la.ghost_globals, lb.ghost_globals):
-            assert np.array_equal(ga, gb)
-        for ra, rb in zip(la.local_refs, lb.local_refs):
-            assert np.array_equal(ra, rb)
+        assert np.array_equal(la.ghost_flat, lb.ghost_flat)
+        assert np.array_equal(la.ghost_bounds, lb.ghost_bounds)
+        assert np.array_equal(la.refs_flat, lb.refs_flat)
+        assert np.array_equal(la.ref_bounds, lb.ref_bounds)
         sa, sb = la.schedule, lb.schedule
         assert np.array_equal(sa._flat_send, sb._flat_send)
         assert np.array_equal(sa._flat_recv, sb._flat_recv)

@@ -161,11 +161,12 @@ def test_localize_round_trip_matches_list_oracle(seed):
     tt = build_translation_table(m, dist)
     res = localize(m, tt, FlatRefs.from_lists(ref_lists))
     ghosts = GhostBuffers(m, res.schedule, dtype=arr.dtype)
-    res.schedule.gather(arr, ghosts.buffers)
+    res.schedule.gather(arr, ghosts)
+    b = res.ref_bounds
     for p in range(n_procs):
         combined = np.concatenate([ref.local(p), ghosts.buf(p)])
         np.testing.assert_array_equal(
-            combined[res.local_refs[p]], vals[ref_lists[p]]
+            combined[res.refs_flat[b[p] : b[p + 1]]], vals[ref_lists[p]]
         )
 
 

@@ -54,7 +54,7 @@ class TestStaleState:
         wrong = DistArray.from_global(m, CyclicDistribution(16, 4), np.zeros(16))
         ghosts = GhostBuffers(m, res.schedule)
         with pytest.raises(ValueError, match="stale"):
-            res.schedule.gather(wrong, ghosts.buffers)
+            res.schedule.gather(wrong, ghosts)
 
     def test_remap_schedule_refuses_reuse_after_move(self):
         m = Machine(4)
@@ -97,7 +97,7 @@ class TestMachineBoundaries:
         foreign = build_arrays(m2)
         with pytest.raises(ValueError, match="different machines"):
             product.patterns[("x", "ia")].localized.schedule.gather(
-                foreign["x"], product.patterns[("x", "ia")].ghosts.buffers
+                foreign["x"], product.patterns[("x", "ia")].ghosts
             )
 
     def test_out_of_range_indirection_values(self):

@@ -77,7 +77,7 @@ class TestGatherAccountingExact:
         arr = DistArray.from_global(m, dist, np.arange(4.0))
         ghosts = GhostBuffers(m, res.schedule, charge=False)
         m.reset()
-        res.schedule.gather(arr, ghosts.buffers)
+        res.schedule.gather(arr, ghosts)
         # pack on proc 1: pack_unpack_mem * 1 mem ops; message 8 bytes;
         # unpack on proc 0: pack_unpack_mem * 1
         msg = 1.0 + 0.5 * 8
@@ -98,7 +98,7 @@ class TestGatherAccountingExact:
         arr = DistArray.from_global(m, dist, np.arange(4.0))
         ghosts = GhostBuffers(m, res.schedule, charge=False)
         m.reset()
-        res.schedule.gather(arr, ghosts.buffers)
+        res.schedule.gather(arr, ghosts)
         assert m.elapsed() == 0.0
 
 

@@ -150,5 +150,5 @@ class TestProtocolPatterns:
         arr = DistArray.from_global(m, dist, np.arange(16.0))
         ghosts = GhostBuffers(m, res.schedule)
         with MessageTrace(m) as t:
-            res.schedule.gather(arr, ghosts.buffers)
+            res.schedule.gather(arr, ghosts)
         assert t.total_bytes() == res.schedule.element_count() * arr.itemsize
